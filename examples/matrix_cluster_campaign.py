@@ -18,8 +18,8 @@ import argparse
 import numpy as np
 
 from repro.core.heuristics import compare_heuristics
-from repro.experiments.common import default_noise
 from repro.simulation.executor import measure_heuristic
+from repro.simulation.noise import default_noise
 from repro.workloads.matrices import MatrixProductWorkload
 from repro.workloads.platforms import campaign_factors
 

@@ -184,12 +184,15 @@ def run_server(
     """Serve until SIGTERM/SIGINT, then drain in-flight requests; exit 0.
 
     Prints the bound address on startup (``port=0`` reports the actual
-    port) so wrappers and smoke tests can scrape it.  ``stop`` lets
-    embedders (tests) trigger the drain without a signal.
+    port) so wrappers and smoke tests can scrape it; the signal handlers
+    are installed first, so a signal sent as soon as the line is read
+    drains the server too.  ``stop`` lets embedders (tests) trigger the
+    drain without a signal.  The drain always shuts the server down, even
+    when printing fails (a stdout reader that went away raises
+    ``BrokenPipeError``, which propagates once the server is closed).
     """
     server = make_server(service, host, port)
     bound_host, bound_port = server.server_address[:2]
-    print(f"serving on http://{bound_host}:{bound_port} (POST /v1/query)", flush=True)
     stop = stop or threading.Event()
 
     def _request_drain(signum, frame) -> None:
@@ -204,9 +207,10 @@ def run_server(
     loop = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.1})
     loop.start()
     try:
+        print(f"serving on http://{bound_host}:{bound_port} (POST /v1/query)", flush=True)
         stop.wait()
-    finally:
         print("draining in-flight requests ...", flush=True)
+    finally:
         server.shutdown()
         loop.join()
         server.server_close()

@@ -24,8 +24,7 @@ make that possible:
 
 It sits below :mod:`repro.workloads` in the import hierarchy so that the
 workload generators, the campaign engine and the scenario subsystem can
-all share one implementation without cycles.  (These helpers lived in
-``repro.scenarios.sampler`` before; the sampler re-exports them.)
+all share one implementation without cycles.
 """
 
 from __future__ import annotations

@@ -7,14 +7,12 @@ from repro.experiments.common import (
     DEFAULT_PLATFORM_COUNT,
     DEFAULT_TOTAL_TASKS,
     FigureResult,
-    default_noise,
     heuristic_campaign,
 )
 
 __all__ = [
     "FigureResult",
     "heuristic_campaign",
-    "default_noise",
     "DEFAULT_MATRIX_SIZES",
     "DEFAULT_PLATFORM_COUNT",
     "DEFAULT_TOTAL_TASKS",

@@ -5,7 +5,8 @@ package; they all return a :class:`FigureResult` — a set of named series over
 a common x-axis — so that reporting, benchmarking and the CLI can treat every
 experiment uniformly.  The heavy lifting shared by Figures 10–13 (random
 platform campaigns comparing the INC_C / INC_W / LIFO heuristics, normalised
-by the INC_C LP prediction) lives in :func:`heuristic_campaign`.
+by the INC_C LP prediction) is :func:`heuristic_campaign`, a view over the
+figures' named scenario spaces.
 """
 
 from __future__ import annotations
@@ -13,16 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.exceptions import ExperimentError
-from repro.experiments.campaign_engine import CampaignSpec, run_campaign_ratios
-from repro.simulation.noise import ComposedNoise, NoiseModel, UniformJitter
-from repro.workloads.platforms import campaign_factors
 
 __all__ = [
     "FigureResult",
-    "default_noise",
     "heuristic_campaign",
     "DEFAULT_MATRIX_SIZES",
     "DEFAULT_PLATFORM_COUNT",
@@ -144,51 +139,35 @@ class FigureResult:
         }
 
 
-def default_noise(seed: int) -> NoiseModel:
-    """Measurement noise used for the "real" curves of the campaigns.
-
-    Communication suffers more jitter than computation (protocol overheads,
-    contention), matching the qualitative behaviour of the paper's measured
-    curves; the composition stays within the ~20% envelope reported for
-    Figure 12.
-    """
-    return ComposedNoise(
-        UniformJitter(amplitude=0.04, comm_amplitude=0.15, seed=seed),
-    )
-
-
 def heuristic_campaign(
     figure: str,
     title: str,
-    campaign_kind: str,
-    heuristic_names: Sequence[str] = ("INC_C", "INC_W", "LIFO"),
     matrix_sizes: Sequence[int] = DEFAULT_MATRIX_SIZES,
     platform_count: int = DEFAULT_PLATFORM_COUNT,
     workers: int = 11,
     total_tasks: int = DEFAULT_TOTAL_TASKS,
-    comm_scale: float = 1.0,
-    comp_scale: float = 1.0,
     seed: int = 0,
-    noise_factory=default_noise,
-    reference: str = "INC_C",
     jobs: int | None = 1,
 ) -> FigureResult:
     """Run one of the paper's random-platform campaigns (Figures 10–13).
 
+    The campaign is a view over the named scenario space ``figure``
+    (``fig10`` … ``fig13b``), derived to ``platform_count`` draws of
+    ``workers``-worker platforms over ``matrix_sizes``: the space carries
+    the heuristics, the reference, the x10 scalings and the noise model,
+    and :class:`~repro.scenarios.spec.ScenarioSpec` validates them.
     For every matrix size and every random platform, each heuristic is
     evaluated twice: its LP-predicted completion time for ``total_tasks``
     matrix products, and the completion time measured on the (noisy)
     simulated cluster after integer rounding.  Both are normalised by the LP
-    prediction of the ``reference`` heuristic (INC_C), then averaged over the
+    prediction of the reference heuristic (INC_C), then averaged over the
     platforms — exactly the quantity plotted in the paper.
 
-    The heavy lifting is delegated to
-    :mod:`repro.experiments.campaign_engine`: platforms are evaluated in
-    chunks with per-factor-set caching and, when ``jobs`` is not 1, on a
-    process pool (``jobs=None`` uses every CPU).  The produced series are
-    bit-identical for every ``jobs`` setting — per-platform noise seeding
-    depends only on ``(seed, platform index, size)`` and the per-platform
-    ratios are re-assembled in platform order before averaging.
+    The rows come from the scenario runner's chunk evaluator
+    (:func:`repro.scenarios.runner.evaluate_rows`, spread over ``jobs``
+    processes; ``jobs=None`` uses every CPU) and are identical for every
+    ``jobs`` setting, and to the rows ``scenarios run`` persists for the
+    same space.
 
     One caveat on comparing against *pre-fast-kernel* runs: scenario LPs on
     degenerate platforms (notably the homogeneous campaign) have multiple
@@ -198,54 +177,51 @@ def heuristic_campaign(
     simulated ``real`` series can shift by ~1% because a different —
     equally optimal — participant set is executed.
 
-    Returned series (for the default heuristics): ``"INC_C lp"`` (the
-    normalisation baseline, identically 1), ``"<H> lp/INC_C lp"`` and
-    ``"<H> real/INC_C lp"`` for every heuristic ``<H>``.
+    Returned series: ``"<R> lp"`` (the normalisation baseline of the
+    reference ``<R>``, identically 1), ``"<H> lp/<R> lp"`` and
+    ``"<H> real/<R> lp"`` for every heuristic ``<H>``.
     """
-    if reference not in heuristic_names:
-        raise ExperimentError(f"the reference heuristic {reference!r} must be evaluated")
-    if platform_count <= 0 or total_tasks <= 0:
-        raise ExperimentError("platform_count and total_tasks must be positive")
+    # Bound at call time: the runner imports this package, and `import
+    # repro.cli` (which loads every driver) stays free of the scenario layer.
+    from repro.scenarios.runner import aggregate_figure, evaluate_rows
+    from repro.scenarios.spec import named_space
+    from repro.scenarios.store import aggregate_rows
 
-    result = FigureResult(
-        figure=figure,
-        title=title,
-        x_label="matrix size",
-        parameters={
-            "campaign": campaign_kind,
-            "heuristics": list(heuristic_names),
-            "platform_count": platform_count,
-            "workers": workers,
-            "total_tasks": total_tasks,
-            "comm_scale": comm_scale,
-            "comp_scale": comp_scale,
-            "seed": seed,
-            "matrix_sizes": list(matrix_sizes),
-        },
-    )
-
-    factor_sets = campaign_factors(campaign_kind, platform_count, size=workers, seed=seed)
-    if comm_scale != 1.0 or comp_scale != 1.0:
-        factor_sets = [factors.scaled(comm=comm_scale, comp=comp_scale) for factors in factor_sets]
-
-    spec = CampaignSpec(
-        heuristic_names=tuple(heuristic_names),
-        matrix_sizes=tuple(int(size) for size in matrix_sizes),
+    spec = named_space(figure).derive(
+        count=platform_count,
+        workers=workers,
+        matrix_sizes=matrix_sizes,
         total_tasks=total_tasks,
         seed=seed,
-        reference=reference,
-        noise_factory=noise_factory,
     )
-    ratios = run_campaign_ratios(spec, factor_sets, jobs=jobs)
-
-    for size in spec.matrix_sizes:
-        for name in heuristic_names:
-            lp_label = f"{name} lp" if name == reference else f"{name} lp/{reference} lp"
-            real_label = f"{name} real/{reference} lp"
-            result.add_point(lp_label, size, float(np.mean(ratios[(f"{name} lp", size)])))
-            result.add_point(real_label, size, float(np.mean(ratios[(f"{name} real", size)])))
+    family, reference = spec.family, spec.reference
+    result = aggregate_figure(spec, aggregate_rows(evaluate_rows(spec, jobs), quantiles=()))
+    labels: dict[str, str] = {}
+    for name in spec.heuristics:
+        labels[f"{name} lp"] = f"{name} lp" if name == reference else f"{name} lp/{reference} lp"
+        labels[f"{name} real"] = f"{name} real/{reference} lp"
+    result.series = {label: result.series[series] for series, label in labels.items()}
+    result.title = title
+    result.parameters = {
+        "campaign": _campaign_kind(family),
+        "heuristics": list(spec.heuristics),
+        "platform_count": family.count,
+        "workers": family.workers,
+        "total_tasks": spec.total_tasks,
+        "comm_scale": family.comm_scale,
+        "comp_scale": family.comp_scale,
+        "seed": family.seed,
+        "matrix_sizes": list(spec.matrix_sizes),
+    }
     result.notes.append(
         "every curve is normalised by the LP prediction of the reference heuristic "
-        f"({reference}) and averaged over {platform_count} random platforms"
+        f"({reference}) and averaged over {family.count} random platforms"
     )
     return result
+
+
+def _campaign_kind(family) -> str:
+    """The paper's name for a family's heterogeneity (Section 5.2)."""
+    if family.comm.kind == "constant":
+        return "homogeneous" if family.comp.kind == "constant" else "hetero-comp"
+    return "hetero-star"

@@ -5,6 +5,8 @@ sizes from 40 to 200, execution times normalised by the INC_C LP prediction.
 On a homogeneous platform every FIFO ordering is equivalent, so only INC_C
 and LIFO are compared; the paper observes that LIFO outperforms FIFO both in
 the LP predictions and in the measurements.
+
+A view over the named scenario space ``fig10``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ def run(
     result = heuristic_campaign(
         figure="fig10",
         title="Average execution times on homogeneous random platforms, normalised by the INC_C LP prediction",
-        campaign_kind="homogeneous",
-        heuristic_names=("INC_C", "LIFO"),
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,

@@ -5,6 +5,8 @@ speed while the computation factors are drawn in 1..10 — exactly the bus
 platforms covered by Theorem 2.  The paper's observations to reproduce:
 INC_C beats INC_W, LIFO beats both, and the LP correctly ranks the three
 heuristics even though the measured times deviate from the predictions.
+
+A view over the named scenario space ``fig11``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ def run(
     result = heuristic_campaign(
         figure="fig11",
         title="Average execution times with homogeneous links and heterogeneous CPUs, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-comp",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,

@@ -5,6 +5,8 @@ Fifty random platforms with both communication and computation factors in
 strategy (as Theorem 1 predicts), LIFO beats the FIFO strategies, and the LP
 ranks the heuristics correctly while absolute measurements deviate by a
 factor bounded by roughly 20%.
+
+A view over the named scenario space ``fig12``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ def run(
     result = heuristic_campaign(
         figure="fig12",
         title="Average execution times on heterogeneous random platforms, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-star",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,

@@ -14,6 +14,10 @@ The observations to reproduce:
   become visible, so the measured-over-predicted ratio grows with the
   matrix size (the limit of the linear cost model) while the LP still ranks
   the heuristics correctly.
+
+Both variants are views over the named scenario spaces ``fig13a`` and
+``fig13b``, which carry the x10 scalings and, for 13b, the per-message
+``overhead`` noise model (:func:`repro.simulation.noise.overhead_noise`).
 """
 
 from __future__ import annotations
@@ -26,26 +30,10 @@ from repro.experiments.common import (
     DEFAULT_PLATFORM_COUNT,
     DEFAULT_TOTAL_TASKS,
     FigureResult,
-    default_noise,
     heuristic_campaign,
 )
-from repro.simulation.noise import AffineOverhead, ComposedNoise, NoiseModel
 
-__all__ = ["run", "run_computation_x10", "run_communication_x10", "overhead_noise"]
-
-
-def overhead_noise(seed: int) -> NoiseModel:
-    """Noise for the communication-x10 variant: jitter plus per-message latency.
-
-    When links are ten times faster, each transfer is short enough for fixed
-    per-message overheads (MPI envelope, synchronisation) to matter, so the
-    measured times drift away from the linear-model prediction — the effect
-    Figure 13b attributes to "the limits of the linear cost model".  (The
-    paper's measured drift grows with the matrix size; a fixed per-message
-    overhead instead penalises the smallest matrices most.  EXPERIMENTS.md
-    discusses the difference.)
-    """
-    return ComposedNoise(default_noise(seed), AffineOverhead(comm_latency=1.0e-3))
+__all__ = ["run", "run_computation_x10", "run_communication_x10"]
 
 
 def run_computation_x10(
@@ -60,13 +48,10 @@ def run_computation_x10(
     result = heuristic_campaign(
         figure="fig13a",
         title="Heterogeneous campaign with computation ten times faster, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-star",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,
         total_tasks=total_tasks,
-        comp_scale=10.0,
         seed=seed,
         jobs=jobs,
     )
@@ -89,15 +74,11 @@ def run_communication_x10(
     result = heuristic_campaign(
         figure="fig13b",
         title="Heterogeneous campaign with communication ten times faster, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-star",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,
         total_tasks=total_tasks,
-        comm_scale=10.0,
         seed=seed,
-        noise_factory=overhead_noise,
         jobs=jobs,
     )
     result.notes.append(

@@ -29,9 +29,10 @@ from repro.core.fifo import optimal_fifo_order, optimal_fifo_schedule
 from repro.core.linear_program import ScenarioSolution, solve_scenarios
 from repro.core.makespan import predicted_makespan
 from repro.exceptions import ExperimentError
-from repro.experiments.common import DEFAULT_TOTAL_TASKS, FigureResult, default_noise
+from repro.experiments.common import DEFAULT_TOTAL_TASKS, FigureResult
 from repro.experiments.sweep_engine import run_sweep
 from repro.simulation.executor import measure_heuristic
+from repro.simulation.noise import default_noise
 from repro.core.heuristics import HeuristicResult
 from repro.workloads.matrices import MatrixProductWorkload
 from repro.workloads.platforms import participation_platform

@@ -13,9 +13,7 @@ batched scenario kernel and the parallel sweep engine:
 * :mod:`repro.workloads.sampling` (one layer below) — the vectorised
   sampler that materialises whole platform families directly as stacked
   ``(batch, q)`` cost tables feeding the batched kernels — bit-identical
-  to the object path on the paper's factor sets (the historical
-  :mod:`repro.scenarios.sampler` facade still re-exports it but is
-  deprecated and warns on import);
+  to the object path on the paper's factor sets;
 * :mod:`repro.scenarios.store` — an append-only, resumable result store
   keyed by spec hash and chunk index, with streaming aggregation and a
   columnar ``.npz`` export;
@@ -35,9 +33,10 @@ batched scenario kernel and the parallel sweep engine:
 The CLI front end is ``repro-experiments scenarios
 list/run/resume/show/export/work/heal/merge``.
 
-The runner builds on :mod:`repro.experiments` (which itself consumes the
-sampler), so its symbols are exposed lazily here to keep the import graph
-acyclic — ``from repro.scenarios import run_campaign`` works either way.
+The runner builds on :mod:`repro.experiments`, so its symbols are
+exposed lazily here: importing the spec layer (the query service's cache
+keys, for one) does not load the experiment layer — ``from
+repro.scenarios import run_campaign`` works either way.
 """
 
 from repro.workloads.sampling import FactorTable, base_costs, cost_table, sample_factors
@@ -93,8 +92,7 @@ __all__ = [
 ]
 
 #: Runner/fabric symbols resolved on first access (PEP 562): the runner
-#: imports the experiment layer, which imports the sampler from this
-#: package, and the fabric builds on the runner.
+#: imports the experiment layer, and the fabric builds on the runner.
 _RUNNER_EXPORTS = {"CampaignProgress", "run_campaign", "aggregate_figure", "plan_chunks"}
 _FABRIC_EXPORTS = {
     "FaultInjector",

@@ -10,8 +10,9 @@ pushing each chunk through the array-level campaign machinery:
    batched scenario-kernel call via
    :func:`repro.experiments.campaign_engine.prepare_cells`;
 3. for measured spaces (``spec.noise``), every cell draws one batched
-   noise stream — seeded per (platform index, size) exactly like the
-   figure campaigns — and the replays run chunk-vectorised through
+   noise stream — seeded per (platform index, size) by the one
+   :func:`~repro.experiments.campaign_engine.noise_seed` formula — and
+   the replays run chunk-vectorised through
    :func:`~repro.experiments.campaign_engine.replay_grouped`;
 4. every finished chunk is appended to the persistent store
    (:mod:`repro.scenarios.store`) before the next group starts, so an
@@ -21,7 +22,8 @@ pushing each chunk through the array-level campaign machinery:
 
 ``jobs`` spreads the chunks of each group over worker processes through
 the generic sweep engine; the parent stays the single store writer, and
-every jobs setting persists identical rows.
+every jobs setting persists identical rows.  :func:`evaluate_rows` is the
+store-free form the Figure 10-13 drivers use.
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ from repro.experiments.campaign_engine import (
     replay_grouped,
     replay_two_port,
 )
-from repro.experiments.common import default_noise
+from repro.experiments.common import FigureResult
 from repro.experiments.fig08_linearity import measure_transfer
-from repro.experiments.fig13_ratio import overhead_noise
 from repro.experiments.sweep_engine import resolve_jobs, run_sweep
-from repro.workloads.sampling import cost_table, sample_factors, workload_base_costs
+from repro.workloads.sampling import FactorTable, cost_table, sample_factors, workload_base_costs
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import CampaignState, CampaignStore
-from repro.simulation.noise import NoiseModel, perturb_sequence
+from repro.simulation.noise import NoiseModel, default_noise, overhead_noise, perturb_sequence
 from repro.workloads.matrices import MatrixProductWorkload
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
     "aggregate_figure",
     "evaluate_chunk",
     "evaluate_range",
+    "evaluate_rows",
     "plan_chunks",
     "run_campaign",
     "validate_plan",
@@ -118,8 +120,8 @@ def validate_plan(state: CampaignState, chunks: list[tuple[int, int]]) -> set[in
 def _grid_noise_key(spec: ScenarioSpec, grid_index: int, x) -> int:
     """The "size" term of a cell's noise seed.
 
-    Matrix grids keep the matrix size itself — the figure campaigns'
-    formula, which the bit-identity guarantee rests on.  Non-integer grids
+    Matrix grids keep the matrix size itself — the paper campaigns' seeds,
+    which the Figure 10-13 results rest on.  Non-integer grids
     (bus ``w/c`` ratios) use the grid *position* instead: truncating 0.5
     and 1.0 and 1.5 to ints would hand several grid points one shared
     noise stream.
@@ -223,12 +225,12 @@ def _evaluate_lp_chunk(
     grid = spec.grid
     is_bus = spec.workload.kind == "bus"
 
-    # Like the figure engine, key the prepared cells on the factor vectors
-    # themselves: families with repeated draws (every constant dimension —
-    # fig10's homogeneous space repeats one factor set 50 times) prepare
-    # each distinct (factor set, grid point) pair once instead of once per
-    # platform.  The emitted rows are unchanged — identical inputs prepare
-    # to identical values.
+    # Key the prepared cells on the factor vectors themselves: families
+    # with repeated draws (every constant dimension — fig10's homogeneous
+    # space repeats one factor set 50 times) prepare each distinct
+    # (factor set, grid point) pair once instead of once per platform.
+    # The emitted rows are unchanged — identical inputs prepare to
+    # identical values.
     factor_keys = [
         (
             comm[offset].tobytes(),
@@ -308,11 +310,6 @@ def _evaluate_lp_chunk(
     return rows
 
 
-#: Backward-compatible alias: the chunk evaluator predates the fabric's
-#: public worker entry points.
-_evaluate_chunk = evaluate_chunk
-
-
 def evaluate_range(spec: ScenarioSpec, start: int, stop: int) -> list[dict]:
     """Evaluate platforms ``[start, stop)`` of a spec, self-contained.
 
@@ -323,9 +320,32 @@ def evaluate_range(spec: ScenarioSpec, start: int, stop: int) -> list[dict]:
     evaluated by any worker, on any machine, yields the exact rows the
     single-writer runner would have persisted.
     """
+    return evaluate_chunk(spec, _descriptor(sample_factors(spec.family), start, stop))
+
+
+def evaluate_rows(spec: ScenarioSpec, jobs: int | None = 1) -> list[dict]:
+    """Every row of a spec, evaluated in memory (no store).
+
+    The path of the Figure 10-13 drivers, which are views over their named
+    spaces: the platforms split into one contiguous range per job, each
+    range runs through :func:`evaluate_chunk` on the sweep engine, and the
+    rows come back in platform order — the rows :func:`run_campaign`
+    persists for the spec, identical for every ``jobs`` setting.
+    """
+    count = spec.family.count
+    jobs = min(resolve_jobs(jobs), count)
     table = sample_factors(spec.family)
+    descriptors = [
+        _descriptor(table, start, stop) for start, stop in plan_chunks(count, -(-count // jobs))
+    ]
+    chunks = run_sweep(partial(evaluate_chunk, spec), descriptors, jobs=jobs)
+    return [row for rows in chunks for row in rows]
+
+
+def _descriptor(table: FactorTable, start: int, stop: int) -> tuple:
+    """The :func:`evaluate_chunk` descriptor of platforms ``[start, stop)``."""
     view = table.rows(start, stop)
-    return evaluate_chunk(spec, (start, stop, view.comm, view.comp, view.ret))
+    return (start, stop, view.comm, view.comp, view.ret)
 
 
 @dataclass
@@ -412,11 +432,7 @@ def run_campaign(
             try:
                 for group_start in range(0, len(pending), group_size):
                     group = pending[group_start : group_start + group_size]
-                    descriptors = []
-                    for index in group:
-                        start, stop = chunks[index]
-                        view = table.rows(start, stop)
-                        descriptors.append((start, stop, view.comm, view.comp, view.ret))
+                    descriptors = [_descriptor(table, *chunks[index]) for index in group]
                     # The parent-side queue phase: dispatch-and-wait of one
                     # chunk group (includes the workers' compute time; the
                     # solve/replay split lives in their own spans).
@@ -450,17 +466,16 @@ def run_campaign(
 _X_LABELS = {"matrix": "matrix size", "bus": "w/c ratio", "probe": "megabytes"}
 
 
-def aggregate_figure(spec: ScenarioSpec, aggregated: dict):
+def aggregate_figure(spec: ScenarioSpec, aggregated: dict) -> FigureResult:
     """Render an aggregate as a :class:`FigureResult` (mean per cell).
 
     Gives ``scenarios run/show`` the same aligned-table output as the
-    figure experiments; quantile columns stay available through the raw
-    aggregate.  Heuristic series come first in the campaign order; any
-    remaining series (bus closed forms, probe transfer times) follow
-    sorted by name.
+    figure experiments, and the Figure 10-13 drivers their series (which
+    they relabel as ratios to the reference); quantile columns stay
+    available through the raw aggregate.  Heuristic series come first in
+    the campaign order; any remaining series (bus closed forms, probe
+    transfer times) follow sorted by name.
     """
-    from repro.experiments.common import FigureResult
-
     result = FigureResult(
         figure=spec.name,
         title=spec.description or f"scenario space {spec.name}",

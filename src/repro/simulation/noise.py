@@ -15,7 +15,9 @@ with pluggable noise models applied to every individual operation
   deviation from the pure linear model probed by Figure 13b.
 
 Models are deterministic given their seed, so experiment campaigns are
-reproducible run to run.
+reproducible run to run.  :func:`default_noise` and :func:`overhead_noise`
+are the seedable factories of the campaigns' measured series (a scenario
+spec names them ``"default"`` and ``"overhead"``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "GaussianJitter",
     "AffineOverhead",
     "ComposedNoise",
+    "default_noise",
+    "overhead_noise",
     "perturb_sequence",
 ]
 
@@ -326,3 +330,29 @@ class ComposedNoise:
         for model in self.models:
             durations = perturb_sequence(model, durations, kinds, workers)
         return durations
+
+
+def default_noise(seed: int) -> NoiseModel:
+    """Measurement noise used for the "real" curves of the campaigns.
+
+    Communication suffers more jitter than computation (protocol overheads,
+    contention), matching the qualitative behaviour of the paper's measured
+    curves; the composition stays within the ~20% envelope reported for
+    Figure 12.
+    """
+    return ComposedNoise(
+        UniformJitter(amplitude=0.04, comm_amplitude=0.15, seed=seed),
+    )
+
+
+def overhead_noise(seed: int) -> NoiseModel:
+    """Noise for the communication-x10 variant: jitter plus per-message latency.
+
+    When links are ten times faster, each transfer is short enough for fixed
+    per-message overheads (MPI envelope, synchronisation) to matter, so the
+    measured times drift away from the linear-model prediction — the effect
+    Figure 13b attributes to "the limits of the linear cost model".  (The
+    paper's measured drift grows with the matrix size; a fixed per-message
+    overhead instead penalises the smallest matrices most.)
+    """
+    return ComposedNoise(default_noise(seed), AffineOverhead(comm_latency=1.0e-3))

@@ -16,7 +16,7 @@ spec layer (:mod:`repro.scenarios.spec`) embeds in its JSON format.  Both
 live here, below :mod:`repro.workloads.platforms` and the experiment
 layer, so that ``campaign_factors`` and the campaign engine consume the
 vectorised sampler without importing from ``repro.scenarios`` (strict
-acyclic hierarchy; the scenario sampler re-exports every name).
+acyclic hierarchy).
 
 Bit-identity with the object path is part of the contract (and pinned by
 the test-suite):

@@ -10,6 +10,10 @@ queries, error statuses, the graceful drain, and request telemetry.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -25,6 +29,8 @@ from repro.core.twoport import optimal_two_port_fifo_schedule
 from repro.obs import Telemetry, activate
 from repro.workloads.matrices import MatrixProductWorkload
 from repro.workloads.platforms import participation_platform
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture()
@@ -221,6 +227,77 @@ class TestDrain:
         out = capsys.readouterr().out
         assert "draining in-flight requests" in out
         assert "served 1 queries (0 cache hits, 1 solved); bye" in out
+
+
+def _serve_subprocess() -> subprocess.Popen:
+    """``scenarios serve --port 0`` in a child, once its address is printed."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "scenarios", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    line = child.stdout.readline()
+    assert line.startswith("serving on http://"), line
+    return child
+
+
+class TestServeLifecycle:
+    """``scenarios serve`` as a process: signals, and a vanished reader."""
+
+    def test_sigterm_right_after_the_address_line_drains(self):
+        child = _serve_subprocess()
+        child.send_signal(signal.SIGTERM)
+        try:
+            out, err = child.communicate(timeout=10)
+        finally:
+            child.kill()
+        assert child.returncode == 0, err
+        assert "draining in-flight requests" in out
+        assert "served 0 queries" in out
+
+    def test_signal_handlers_are_installed_before_the_address_line(self):
+        """The child signals itself the moment the line is written: with
+        the handlers not yet installed, SIGTERM would kill it (exit -15)."""
+        script = (
+            "import os, signal, sys\n"
+            "from repro.cli import main\n"
+            "class Out:\n"
+            "    def __init__(self, stream):\n"
+            "        self.stream = stream\n"
+            "    def write(self, text):\n"
+            "        written = self.stream.write(text)\n"
+            "        if text.startswith('serving on'):\n"
+            "            self.stream.flush()\n"
+            "            os.kill(os.getpid(), signal.SIGTERM)\n"
+            "        return written\n"
+            "    def flush(self):\n"
+            "        self.stream.flush()\n"
+            "sys.stdout = Out(sys.stdout)\n"
+            "sys.exit(main(['scenarios', 'serve', '--port', '0']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=_SRC),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "draining in-flight requests" in result.stdout
+
+    def test_sigterm_ends_the_server_when_stdout_reader_is_gone(self):
+        child = _serve_subprocess()
+        child.stdout.close()
+        child.send_signal(signal.SIGTERM)
+        try:
+            child.wait(timeout=10)
+            err = child.stderr.read()
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert child.returncode == 0, err
 
 
 class TestRequestTelemetry:

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments import fig08_linearity, fig09_trace, fig13_ratio, fig14_participation
-from repro.experiments.common import FigureResult, default_noise, heuristic_campaign
+from repro.experiments import (
+    fig08_linearity,
+    fig09_trace,
+    fig10_homogeneous,
+    fig11_hetero_compute,
+    fig12_hetero_star,
+    fig13_ratio,
+    fig14_participation,
+)
+from repro.experiments.common import FigureResult, heuristic_campaign
 from repro.experiments.registry import EXPERIMENTS, available_experiments, run_experiment
 from repro.experiments.report import render_report, to_csv, to_markdown
+from repro.scenarios.spec import named_space
+from repro.simulation.noise import default_noise
 
 
 #: Reduced campaign settings shared by the experiment tests (the quick preset
@@ -44,69 +57,82 @@ class TestFigureResult:
 
 
 class TestCampaignEngine:
+    """Figures 10-13 as views over their named scenario spaces."""
+
     def test_campaign_produces_expected_series(self):
-        result = heuristic_campaign(
-            figure="test",
-            title="campaign",
-            campaign_kind="hetero-star",
-            heuristic_names=("INC_C", "INC_W", "LIFO"),
-            seed=5,
-            **_TINY,
-        )
-        assert "INC_C lp" in result.series
-        assert "INC_C real/INC_C lp" in result.series
-        assert "INC_W lp/INC_C lp" in result.series
-        assert "LIFO real/INC_C lp" in result.series
+        result = heuristic_campaign("fig12", "campaign", seed=5, **_TINY)
+        assert list(result.series) == [
+            "INC_C lp",
+            "INC_C real/INC_C lp",
+            "INC_W lp/INC_C lp",
+            "INC_W real/INC_C lp",
+            "LIFO lp/INC_C lp",
+            "LIFO real/INC_C lp",
+        ]
         # the reference LP series is identically one
         for _, value in result.series["INC_C lp"]:
             assert value == pytest.approx(1.0)
         # every x value appears in every series
         assert all(len(points) == len(_TINY["matrix_sizes"]) for points in result.series.values())
+        assert result.parameters["campaign"] == "hetero-star"
+        assert result.parameters["platform_count"] == _TINY["platform_count"]
 
     def test_inc_w_never_beats_inc_c_in_lp(self):
         """Theorem 1's ordering result, observed through the campaign engine."""
-        result = heuristic_campaign(
-            figure="test",
-            title="campaign",
-            campaign_kind="hetero-star",
-            heuristic_names=("INC_C", "INC_W"),
-            seed=6,
-            **_TINY,
-        )
+        result = heuristic_campaign("fig12", "campaign", seed=6, **_TINY)
         for x in result.x_values:
             assert result.value("INC_W lp/INC_C lp", x) >= 1.0 - 1e-9
 
     def test_measured_times_exceed_lp_predictions(self):
-        result = heuristic_campaign(
-            figure="test",
-            title="campaign",
-            campaign_kind="homogeneous",
-            heuristic_names=("INC_C",),
-            seed=7,
-            **_TINY,
-        )
+        result = heuristic_campaign("fig10", "campaign", seed=7, **_TINY)
+        assert result.parameters["campaign"] == "homogeneous"
         for x in result.x_values:
             assert result.value("INC_C real/INC_C lp", x) >= 1.0 - 1e-6
 
-    def test_requires_reference_heuristic(self):
-        with pytest.raises(ExperimentError):
-            heuristic_campaign(
-                figure="f",
-                title="t",
-                campaign_kind="homogeneous",
-                heuristic_names=("LIFO",),
-                reference="INC_C",
-                **_TINY,
-            )
+    def test_spec_validates_the_reference_heuristic(self):
+        """The reference check moved to the spec the campaign derives."""
+        with pytest.raises(ExperimentError, match="reference heuristic"):
+            named_space("fig10").derive(heuristics=("LIFO",))
 
-    def test_rejects_bad_counts(self):
+    @pytest.mark.parametrize("override", ({"platform_count": 0}, {"total_tasks": 0}))
+    def test_rejects_bad_counts(self, override):
         with pytest.raises(ExperimentError):
-            heuristic_campaign(
-                figure="f",
-                title="t",
-                campaign_kind="homogeneous",
-                platform_count=0,
-            )
+            heuristic_campaign("fig10", "t", **override)
+
+    def test_unknown_space_is_rejected(self):
+        with pytest.raises(ExperimentError, match="unknown scenario space"):
+            heuristic_campaign("fig99", "t", **_TINY)
+
+
+class TestPaperScaleGolden:
+    """Figures 10-13 at the paper's defaults, pinned against a fixture.
+
+    ``fixtures/figures_paper_scale.json`` holds ``FigureResult.as_dict()``
+    of every campaign figure (50 platforms, default seeds) as computed by
+    the figure-only campaign engine these drivers replaced; the views over
+    the named spaces must reproduce it exactly — series floats, labels and
+    order, title, parameters and notes — for every ``jobs`` setting.
+    """
+
+    _RUNNERS = {
+        "fig10": fig10_homogeneous.run,
+        "fig11": fig11_hetero_compute.run,
+        "fig12": fig12_hetero_star.run,
+        "fig13a": fig13_ratio.run_computation_x10,
+        "fig13b": fig13_ratio.run_communication_x10,
+    }
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        fixture = Path(__file__).parent / "fixtures" / "figures_paper_scale.json"
+        return json.loads(fixture.read_text())
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("figure", sorted(_RUNNERS))
+    def test_reproduces_the_figure_engine_exactly(self, golden, figure, jobs):
+        result = json.loads(json.dumps(self._RUNNERS[figure](jobs=jobs).as_dict()))
+        assert result == golden[figure]
+        assert list(result["series"]) == list(golden[figure]["series"])
 
 
 class TestFig08:

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import platforms
-from repro.experiments.common import default_noise
 from repro.simulation.cluster import ClusterSimulation
 from repro.simulation.fast_twoport import run_fast_twoport
 from repro.simulation.noise import (
@@ -23,6 +22,7 @@ from repro.simulation.noise import (
     GaussianJitter,
     NoJitter,
     UniformJitter,
+    default_noise,
 )
 
 _SETTINGS = settings(

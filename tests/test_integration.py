@@ -20,7 +20,7 @@ from repro import (
     optimal_lifo_schedule,
 )
 from repro.core.rounding import integer_load_schedule
-from repro.experiments.common import default_noise
+from repro.simulation.noise import default_noise
 from repro.runtime.matrix_app import campaign_from_schedule
 from repro.simulation.executor import execute_schedule, measure_heuristic
 from repro.workloads.matrices import MatrixProductWorkload

@@ -28,8 +28,7 @@ from repro.core.twoport import (
     two_port_fifo_for_order,
 )
 from repro.experiments.campaign_engine import noise_seed, prepare_cells
-from repro.experiments.common import default_noise
-from repro.experiments.fig13_ratio import overhead_noise
+from repro.simulation.noise import default_noise, overhead_noise
 from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import named_space, spec_hash
 from repro.simulation.executor import measure_heuristic

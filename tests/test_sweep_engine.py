@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments.common import default_noise
+from repro.experiments.campaign_engine import noise_seed as campaign_noise_seed
+from repro.experiments.campaign_engine import prepare_cells
 from repro.experiments.sweep_engine import (
     SweepTimeoutError,
     resolve_jobs,
@@ -18,16 +19,20 @@ from repro.simulation.executor import (
     prepare_measurement,
 )
 from repro.core.heuristics import compare_heuristics
+from repro.scenarios.runner import evaluate_range
+from repro.scenarios.spec import named_space
 from repro.simulation.noise import (
     AffineOverhead,
     ComposedNoise,
     GaussianJitter,
     NoJitter,
     UniformJitter,
+    default_noise,
     perturb_sequence,
 )
 from repro.workloads.matrices import MatrixProductWorkload
 from repro.workloads.platforms import campaign_factors
+from repro.workloads.sampling import base_costs, cost_table
 
 
 def _double(value):
@@ -226,62 +231,48 @@ class TestCampaignEngineAgainstReferencePath:
 
     def test_prepared_cell_measure_matches_reference(self):
         """The scalar cell replay equals measure_heuristic per heuristic."""
-        from repro.experiments.campaign_engine import CampaignSpec, _prepare_chunk
-
-        spec = CampaignSpec(
-            heuristic_names=("INC_C", "LIFO"),
-            matrix_sizes=(100,),
-            total_tasks=250,
-            seed=4,
-            reference="INC_C",
-            noise_factory=default_noise,
-        )
+        heuristics, total_tasks = ("INC_C", "LIFO"), 250
         factors = campaign_factors("hetero-star", 1, size=5, seed=4)[0]
-        cells = _prepare_chunk(spec, [(0, factors)])
-        cell = cells[(factors.comm, factors.comp, 100)]
-        measured = cell.measure(default_noise(77))
+        c, w, d = cost_table(base_costs(100), np.array(factors.comm), np.array(factors.comp))
+        cells = prepare_cells(heuristics, "INC_C", total_tasks, [("cell", c, w, d)])
+        measured = cells["cell"].measure(default_noise(77))
 
         platform = factors.platform(MatrixProductWorkload(100))
-        evaluations = compare_heuristics(platform, spec.heuristic_names)
+        evaluations = compare_heuristics(platform, heuristics)
         noise = default_noise(77)
-        for name, makespan in zip(spec.heuristic_names, measured):
+        for name, makespan in zip(heuristics, measured):
             report = measure_heuristic(
-                evaluations[name], spec.total_tasks, noise=noise, collect_trace=False
+                evaluations[name], total_tasks, noise=noise, collect_trace=False
             )
             assert makespan == report.measured_makespan
 
-    def test_chunk_ratios_match_scalar_reference(self):
-        from repro.experiments.campaign_engine import CampaignSpec, _run_chunk
-
-        spec = CampaignSpec(
-            heuristic_names=("INC_C", "INC_W", "LIFO"),
-            matrix_sizes=(60, 140),
-            total_tasks=300,
-            seed=11,
-            reference="INC_C",
-            noise_factory=default_noise,
+    def test_chunk_rows_match_scalar_reference(self):
+        """The runner's chunk rows, float for float, against compare_heuristics
+        + measure_heuristic on the platform objects of the same draws."""
+        spec = named_space("fig12").derive(
+            count=3, workers=6, seed=11, matrix_sizes=(60, 140), total_tasks=300
         )
+        rows = evaluate_range(spec, 0, spec.family.count)
+        assert [(row["platform"], row["size"]) for row in rows] == [
+            (index, size) for index in range(3) for size in spec.matrix_sizes
+        ]
         factor_sets = campaign_factors("hetero-star", 3, size=6, seed=11)
-        chunk = list(enumerate(factor_sets))
-        engine = dict(_run_chunk(spec, chunk))
-
-        for platform_index, factors in chunk:
-            for size in spec.matrix_sizes:
-                platform = factors.platform(
-                    MatrixProductWorkload(size), name=f"{factors.label}-s{size}"
+        for row in rows:
+            platform_index, size = row["platform"], row["size"]
+            factors = factor_sets[platform_index]
+            platform = factors.platform(
+                MatrixProductWorkload(size), name=f"{factors.label}-s{size}"
+            )
+            evaluations = compare_heuristics(platform, spec.heuristics)
+            reference_time = evaluations["INC_C"].makespan_for(spec.total_tasks)
+            noise = default_noise(campaign_noise_seed(spec.family.seed, platform_index, size))
+            for name in spec.heuristics:
+                evaluation = evaluations[name]
+                lp_time = evaluation.makespan_for(spec.total_tasks)
+                report = measure_heuristic(
+                    evaluation, spec.total_tasks, noise=noise, collect_trace=False
                 )
-                evaluations = compare_heuristics(platform, spec.heuristic_names)
-                reference_time = evaluations["INC_C"].makespan_for(spec.total_tasks)
-                noise = spec.noise_factory(spec.noise_seed(platform_index, size))
-                for name in spec.heuristic_names:
-                    evaluation = evaluations[name]
-                    lp_time = evaluation.makespan_for(spec.total_tasks)
-                    report = measure_heuristic(
-                        evaluation, spec.total_tasks, noise=noise, collect_trace=False
-                    )
-                    assert engine[platform_index][(f"{name} lp", size)] == (
-                        lp_time / reference_time
-                    )
-                    assert engine[platform_index][(f"{name} real", size)] == (
-                        report.measured_makespan / reference_time
-                    )
+                assert row["values"][f"{name} lp"] == lp_time / reference_time
+                assert row["values"][f"{name} real"] == (
+                    report.measured_makespan / reference_time
+                )
