@@ -2,8 +2,9 @@
 
 The two load-bearing guarantees:
 
-* **campaign parity** — a sampler-fed campaign persists, per platform,
-  exactly the ratios the figure campaigns (object path) compute;
+* **campaign parity** — a stored campaign persists exactly the rows the
+  in-memory Figure 10-13 views evaluate (the chunk rows themselves are
+  pinned against the object path in ``test_sweep_engine.py``);
 * **resume semantics** — a campaign killed mid-run and resumed produces a
   store bit-identical to an uninterrupted run, including after a crash
   that truncates the last line mid-write.
